@@ -7,8 +7,6 @@
 //
 //   * engine "soa"       — the production sustained-load path
 //                          (plan_all_edges_into: active-node candidate scan);
-//   * engine "soa_dense" — plan_into over every edge (the parallelizable
-//                          dense scan; the thread sweep runs here);
 //   * engine "reference" — the pre-SoA map-of-vectors oracle
 //                          (routing/reference_router.h), measured at matched
 //                          workload so speedup_vs_reference is apples to
@@ -18,9 +16,8 @@
 // forked child's peak RSS, a warm-up RSS snapshot with an rss_flat verdict
 // (peak RSS after warm-up must not keep growing — the O(capacity) steady-
 // state memory claim), and an FNV checksum over the full planned-tx stream.
-// The checksum doubles as the cross-thread bit-identity check (TN_NUM_THREADS
-// 1/2/4 must plan identical transmissions) and as the reference-equivalence
-// check (the oracle must plan the same stream at matched workload).
+// The checksum doubles as the reference-equivalence check (the oracle must
+// plan the same stream at matched workload).
 //
 // The matrix also sweeps the quantized router's control-plane ledger
 // (quantum 2, matched Poisson workload) across the node sizes and writes a
@@ -36,7 +33,7 @@
 // memory-budget and telemetry byte-identity tests):
 //
 //   bench_router --single [--workload poisson|bursty|hotspot|adversarial]
-//     [--engine soa|soa_dense|reference] [--n N] [--rate R] [--rounds K]
+//     [--engine soa|reference] [--n N] [--rate R] [--rounds K]
 //     [--window W] [--sources S] [--dests D] [--threshold T] [--gamma G]
 //     [--max-height H] [--seed S] [--telemetry FILE] [--max-rss-mb MB]
 //     [--rlimit-as-mb MB] [--check-flat-rss]
@@ -107,12 +104,11 @@ struct Fnv {
   }
 };
 
-enum class Engine { kSoa, kSoaDense, kReference };
+enum class Engine { kSoa, kReference };
 
 const char* engine_name(Engine e) {
   switch (e) {
     case Engine::kSoa: return "soa";
-    case Engine::kSoaDense: return "soa_dense";
     case Engine::kReference: return "reference";
   }
   return "?";
@@ -128,7 +124,6 @@ struct RunConfig {
   double threshold = 0.5;
   double gamma = 0.0;
   std::size_t max_height = 32;
-  int threads = 0;  // 0: inherit (TN_NUM_THREADS / set_num_threads)
   /// >= 1: run the QuantizedHeightRouter at this advertisement quantum
   /// instead of the plain engine (the control-plane ledger sweep).
   std::size_t quantum = 0;
@@ -165,7 +160,6 @@ void mix_txs(Fnv& f, const std::vector<Tx>& txs) {
 /// run; a steady-state loop must not grow its footprint past that point
 /// (modulo the final snapshot's own noise), which is what rss_flat asserts.
 SimOut run_sim(const graph::Graph& g, const RunConfig& cfg) {
-  if (cfg.threads > 0) tn::set_num_threads(cfg.threads);
   std::vector<double> costs(g.num_edges());
   for (graph::EdgeId e = 0; e < costs.size(); ++e) costs[e] = g.edge(e).cost;
   std::vector<graph::EdgeId> all_edges;
@@ -386,7 +380,6 @@ int run_matrix() {
                          P::kAdversarialCut};
 
   std::vector<Entry> entries;
-  bool all_identical = true;
   bool reference_match = true;
 
   // Control-plane ledger sweep (ROADMAP item 2's leftover): the quantized
@@ -414,14 +407,12 @@ int run_matrix() {
     g.neighbors(0);  // force the adjacency build outside the timed children
 
     for (const P p : processes) {
-      for (const Engine eng :
-           {Engine::kSoa, Engine::kSoaDense, Engine::kReference}) {
+      for (const Engine eng : {Engine::kSoa, Engine::kReference}) {
         Entry e;
         e.n = n;
         e.cfg.spec = workload_spec(p, n);
         e.cfg.engine = eng;
         e.cfg.rounds = base_rounds;
-        e.cfg.threads = 1;
         bool ok = true;
         e.r = time_entry(g, e.cfg, &ok);
         if (!ok) continue;
@@ -445,46 +436,15 @@ int run_matrix() {
         return nullptr;
       };
       const Entry* soa = find(Engine::kSoa);
-      const Entry* dense = find(Engine::kSoaDense);
       const Entry* ref = find(Engine::kReference);
-      for (const Entry* fast : {soa, dense})
-        if (fast != nullptr && ref != nullptr &&
-            fast->r.checksum != ref->r.checksum) {
-          reference_match = false;
-          std::fprintf(stderr,
-                       "REFERENCE MISMATCH: %s/%s n=%zu plans diverge from "
-                       "the oracle\n",
-                       route::injection_process_name(p),
-                       engine_name(fast->cfg.engine), n);
-        }
-    }
-
-    // Cross-thread bit-identity on the dense (parallelizable) scan.
-    std::uint64_t baseline = 0;
-    bool have_baseline = false;
-    for (const int threads : {1, 2, 4}) {
-      Entry e;
-      e.n = n;
-      e.cfg.spec = workload_spec(P::kPoisson, n);
-      e.cfg.engine = Engine::kSoaDense;
-      e.cfg.rounds = std::max<std::uint64_t>(1, base_rounds / 4);
-      e.cfg.threads = threads;
-      bool ok = true;
-      e.r = time_entry(g, e.cfg, &ok);
-      if (!ok) continue;
-      if (!have_baseline) {
-        baseline = e.r.checksum;
-        have_baseline = true;
-      } else if (e.r.checksum != baseline) {
-        all_identical = false;
+      if (soa != nullptr && ref != nullptr &&
+          soa->r.checksum != ref->r.checksum) {
+        reference_match = false;
         std::fprintf(stderr,
-                     "DETERMINISM VIOLATION: poisson/soa_dense n=%zu "
-                     "threads=%d\n",
-                     n, threads);
+                     "REFERENCE MISMATCH: %s/soa n=%zu plans diverge from "
+                     "the oracle\n",
+                     route::injection_process_name(p), n);
       }
-      std::printf("router poisson     soa_dense n=%-7zu threads=%d  %10.2f ms\n",
-                  n, threads, e.r.ms);
-      entries.push_back(e);
     }
 
     // Quantized control plane at this n: matched closed-loop Poisson
@@ -492,9 +452,7 @@ int run_matrix() {
     {
       RunConfig cfg;
       cfg.spec = workload_spec(P::kPoisson, n);
-      cfg.engine = Engine::kSoaDense;
       cfg.rounds = base_rounds;
-      cfg.threads = 1;
       cfg.quantum = 2;
       bool ok = true;
       const SimOut r = time_entry(g, cfg, &ok);
@@ -528,7 +486,6 @@ int run_matrix() {
     e.cfg.spec = workload_spec(P::kPoisson, n);
     e.cfg.engine = Engine::kSoa;
     e.cfg.rounds = accept_rounds;
-    e.cfg.threads = 1;
     e.accept = true;
     bool ok = true;
     e.r = time_entry(tt.graph(), e.cfg, &ok);
@@ -553,7 +510,7 @@ int run_matrix() {
   };
   std::vector<Speedup> speedups;
   for (const Entry& e : entries) {
-    if (e.cfg.engine == Engine::kReference || e.cfg.threads != 1 || e.accept)
+    if (e.cfg.engine == Engine::kReference || e.accept)
       continue;
     for (const Entry& ref : entries) {
       if (ref.cfg.engine == Engine::kReference && ref.n == e.n &&
@@ -578,8 +535,6 @@ int run_matrix() {
   std::fprintf(out, "{\n  \"schema\": \"thetanet-bench-router/1\",\n");
   std::fprintf(out, "  \"hardware_concurrency\": %d,\n",
                tn::hardware_threads());
-  std::fprintf(out, "  \"outputs_bit_identical_across_threads\": %s,\n",
-               all_identical ? "true" : "false");
   std::fprintf(out, "  \"reference_plans_match\": %s,\n",
                reference_match ? "true" : "false");
   std::fprintf(out, "  \"speedups_vs_reference\": [");
@@ -618,7 +573,7 @@ int run_matrix() {
     std::fprintf(
         out,
         "    {\"workload\": \"%s\", \"engine\": \"%s\", \"n\": %zu, "
-        "\"rate\": %.3f, \"window\": %u, \"rounds\": %llu, \"threads\": %d, "
+        "\"rate\": %.3f, \"window\": %u, \"rounds\": %llu, \"threads\": 1, "
         "\"ms\": %.3f, \"rounds_per_sec\": %.0f, \"packets_per_sec\": %.0f, "
         "\"ns_per_packet_hop\": %.1f, \"deliveries\": %llu, "
         "\"attempted_tx\": %llu, \"injected_accepted\": %llu, "
@@ -627,7 +582,7 @@ int run_matrix() {
         "\"checksum\": \"%016llx\"}%s\n",
         route::injection_process_name(e.cfg.spec.process),
         engine_name(e.cfg.engine), e.n, e.cfg.spec.rate, e.cfg.spec.window,
-        static_cast<unsigned long long>(r.rounds), e.cfg.threads, r.ms,
+        static_cast<unsigned long long>(r.rounds), r.ms,
         sec > 0 ? static_cast<double>(r.rounds) / sec : 0.0,
         sec > 0 ? static_cast<double>(r.deliveries) / sec : 0.0,
         r.attempted_tx > 0 ? r.ms * 1e6 / static_cast<double>(r.attempted_tx)
@@ -645,7 +600,7 @@ int run_matrix() {
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
   std::printf("wrote BENCH_router.json\n");
-  return (all_identical && reference_match) ? 0 : 1;
+  return reference_match ? 0 : 1;
 }
 
 // ---------------------------------------------------------------------------
@@ -681,7 +636,6 @@ int run_single(int argc, char** argv) {
       }
     } else if (val("--engine")) {
       if (std::strcmp(v, "soa") == 0) cfg.engine = Engine::kSoa;
-      else if (std::strcmp(v, "soa_dense") == 0) cfg.engine = Engine::kSoaDense;
       else if (std::strcmp(v, "reference") == 0) cfg.engine = Engine::kReference;
       else {
         std::fprintf(stderr, "bench_router: unknown engine '%s'\n", v);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <tuple>
 
 #include "common/assert.h"
@@ -33,7 +32,7 @@ SpatialGrid::SpatialGrid(std::span<const Vec2> points, double cell_size)
   const std::int64_t max_cells =
       std::max<std::int64_t>(1024, 8 * static_cast<std::int64_t>(points_.size()));
   auto [nx, ny] = dims(cell_);
-  while (nx * ny > max_cells) {
+  while (nx > max_cells / ny) {  // nx * ny > max_cells, without overflow
     cell_ *= 2.0;
     std::tie(nx, ny) = dims(cell_);
   }
@@ -82,17 +81,6 @@ std::size_t SpatialGrid::cell_index(std::int32_t cx, std::int32_t cy) const {
          static_cast<std::size_t>(cx);
 }
 
-bool SpatialGrid::for_each_within_until(
-    Vec2 center, double radius, const std::function<bool(NodeId)>& visit) const {
-  return for_each_within_until(center, radius,
-                               [&](NodeId id) { return visit(id); });
-}
-
-void SpatialGrid::for_each_within(
-    Vec2 center, double radius, const std::function<void(NodeId)>& visit) const {
-  for_each_within(center, radius, [&](NodeId id) { visit(id); });
-}
-
 std::vector<SpatialGrid::NodeId> SpatialGrid::within(Vec2 center, double radius,
                                                      NodeId exclude) const {
   std::vector<NodeId> out;
@@ -101,44 +89,6 @@ std::vector<SpatialGrid::NodeId> SpatialGrid::within(Vec2 center, double radius,
   });
   std::sort(out.begin(), out.end());
   return out;
-}
-
-SpatialGrid::NodeId SpatialGrid::nearest(Vec2 center, NodeId exclude) const {
-  if (points_.empty()) return kNone;
-  NodeId best = kNone;
-  double best_d2 = std::numeric_limits<double>::infinity();
-  // Expanding-ring search: examine cells in growing square shells until the
-  // best candidate is provably closer than any unexamined shell.
-  const CellCoord c0 = cell_of(center);
-  const std::int32_t max_span = std::max(nx_, ny_);
-  for (std::int32_t span = 0; span <= max_span; ++span) {
-    if (best != kNone) {
-      const double shell_min = (static_cast<double>(span) - 1.0) * cell_;
-      if (shell_min > 0.0 && shell_min * shell_min > best_d2) break;
-    }
-    const std::int32_t x_lo = std::max(0, c0.cx - span);
-    const std::int32_t x_hi = std::min(nx_ - 1, c0.cx + span);
-    const std::int32_t y_lo = std::max(0, c0.cy - span);
-    const std::int32_t y_hi = std::min(ny_ - 1, c0.cy + span);
-    for (std::int32_t cy = y_lo; cy <= y_hi; ++cy) {
-      for (std::int32_t cx = x_lo; cx <= x_hi; ++cx) {
-        // Only the new shell, not the already-scanned interior.
-        if (span > 0 && cx != x_lo && cx != x_hi && cy != y_lo && cy != y_hi)
-          continue;
-        const std::size_t c = cell_index(cx, cy);
-        for (std::uint32_t k = starts_[c]; k < starts_[c + 1]; ++k) {
-          const NodeId id = ids_[k];
-          if (id == exclude) continue;
-          const double d2 = dist_sq({xs_[k], ys_[k]}, center);
-          if (d2 < best_d2 || (d2 == best_d2 && id < best)) {
-            best_d2 = d2;
-            best = id;
-          }
-        }
-      }
-    }
-  }
-  return best;
 }
 
 }  // namespace thetanet::geom

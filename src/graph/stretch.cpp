@@ -48,6 +48,10 @@ StretchPartial merge(StretchPartial acc, StretchPartial part) {
 
 StretchStats edge_stretch(const Graph& h, const Graph& base, Weight weight) {
   TN_ASSERT(h.num_nodes() == base.num_nodes());
+  // Build both CSRs here: the lazy rebuild in neighbors() is not safe
+  // under the parallel sweep below.
+  h.finalize();
+  base.finalize();
   const std::size_t n = base.num_nodes();
 
   // One Dijkstra in H per node that has base-neighbours; compare against each
@@ -95,6 +99,10 @@ StretchStats edge_stretch(const Graph& h, const Graph& base, Weight weight) {
 
 StretchStats pairwise_stretch(const Graph& h, const Graph& base, Weight weight) {
   TN_ASSERT(h.num_nodes() == base.num_nodes());
+  // Build both CSRs here: the lazy rebuild in neighbors() is not safe
+  // under the parallel sweep below.
+  h.finalize();
+  base.finalize();
   const std::size_t n = base.num_nodes();
   if (n < 2) return {};
 

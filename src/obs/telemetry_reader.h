@@ -1,8 +1,8 @@
 #pragma once
-// Reader for telemetry dumps: parses a thetanet-telemetry/1 or /2 JSON
-// document (obs::write_telemetry_json output) back into plain structures,
-// so tools — the `thetanet_cli report` subcommand foremost — can ingest
-// dumps without a JSON dependency. The embedded parser handles the JSON
+// Reader for telemetry dumps: parses a thetanet-telemetry/2 JSON document
+// (obs::write_telemetry_json output) back into plain structures, so tools
+// — the `thetanet_cli report` subcommand foremost — can ingest dumps
+// without a JSON dependency. The embedded parser handles the JSON
 // subset the sink emits (objects, arrays, strings, numbers, bools, null)
 // and is tolerant of extra keys, so future schema additions stay readable.
 
@@ -39,10 +39,10 @@ struct ParsedSpan {
 };
 
 struct ParsedTelemetry {
-  std::string schema;  ///< "thetanet-telemetry/1" or ".../2"
+  std::string schema;  ///< always "thetanet-telemetry/2"
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, ParsedDistribution> distributions;
-  std::map<std::string, ParsedSeries> series;  ///< empty for /1 documents
+  std::map<std::string, ParsedSeries> series;
   std::vector<ParsedSpan> spans;
 };
 

@@ -31,7 +31,7 @@
 //
 // Not thread-safe: all mutation (and the active-node list compaction) is
 // serial; concurrent *reads* (height probes, pair scans) are safe once
-// mutation stops, which is the contract the parallel plan scan relies on.
+// mutation stops.
 
 #include <cstdint>
 #include <optional>

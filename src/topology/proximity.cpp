@@ -6,7 +6,6 @@
 
 #include "common/parallel.h"
 #include "geom/delaunay.h"
-#include "geom/kdtree.h"
 #include "geom/predicates.h"
 #include "geom/spatial_grid.h"
 #include "graph/mst.h"
@@ -121,22 +120,34 @@ graph::Graph restricted_delaunay_graph(const Deployment& d) {
 
 graph::Graph knn_graph(const Deployment& d, std::size_t k) {
   const std::size_t n = d.size();
-  if (n < 2) {
-    graph::Graph g(n);
-    return g;
-  }
-  const geom::KdTree tree(d.positions);
-  // Per-chunk candidate lists from read-only k-NN queries; normalize_edges
+  if (n < 2) return graph::Graph(n);
+  // Only neighbours within D are kept, so each node's k nearest come from
+  // its grid disk. The pad stops the grid's d2 <= r*r prefilter from
+  // dropping a point whose rounded sqrt(d2) is still <= D; the cell takes
+  // the padded radius too, so each query scans 3x3 cells.
+  const double r = d.max_range * (1.0 + 1e-9);
+  const geom::SpatialGrid grid(d.positions, r);
+  // Per-chunk candidate lists from read-only grid queries; normalize_edges
   // owns the dedup (u and v can each pick the other).
   std::vector<EdgePair> chosen = tn::parallel_reduce(
       n, 32, std::vector<EdgePair>{},
       [&](std::size_t begin, std::size_t end) {
         std::vector<EdgePair> out;
+        std::vector<std::pair<double, NodeId>> near;  // (dist_sq, id)
         for (std::size_t ui = begin; ui < end; ++ui) {
           const auto u = static_cast<NodeId>(ui);
-          for (const std::uint32_t v : tree.k_nearest(d.positions[u], k, u)) {
-            if (d.distance(u, v) > d.max_range) break;  // ordered by distance
-            out.emplace_back(u, v);
+          near.clear();
+          grid.for_each_within(d.positions[u], r,
+                               [&](std::uint32_t v, double d2) {
+                                 if (v != u) near.emplace_back(d2, v);
+                               });
+          // k nearest by (distance, id): ties go to the smaller id.
+          const auto kth = near.begin() + static_cast<std::ptrdiff_t>(
+                                              std::min(k, near.size()));
+          std::partial_sort(near.begin(), kth, near.end());
+          for (auto it = near.begin(); it != kth; ++it) {
+            if (d.distance(u, it->second) > d.max_range) break;
+            out.emplace_back(u, it->second);
           }
         }
         return out;

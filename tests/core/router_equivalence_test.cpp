@@ -210,9 +210,9 @@ TEST(RouterEquivalence, SmallGraphOracleAndThreads) {
   tn::set_num_threads(saved);
 }
 
-// Dense enough that plan_into's edge scan actually crosses the parallel
-// threshold (>= 4096 active edges), so the multi-thread runs exercise the
-// pool rather than the serial fallback.
+// The one oracle comparison on a dense instance (>= 4096 edges, every one
+// active in the dense engine): both engines must match ReferenceRouter
+// step for step, and stay bit-identical with the pool at 1, 2 and 4 workers.
 TEST(RouterEquivalence, ParallelPlanPathBitIdentical) {
   geom::Rng rng(0xfeed);
   const graph::Graph g = random_graph(160, 0.45, rng);

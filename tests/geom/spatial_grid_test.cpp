@@ -3,8 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
-#include <limits>
+#include <tuple>
 
 #include "geom/rng.h"
 #include "obs/metrics.h"
@@ -35,15 +34,13 @@ TEST(SpatialGrid, EmptyPointSet) {
   const SpatialGrid grid(pts, 1.0);
   EXPECT_EQ(grid.size(), 0U);
   EXPECT_TRUE(grid.within({0, 0}, 10.0).empty());
-  EXPECT_EQ(grid.nearest({0, 0}), SpatialGrid::kNone);
 }
 
 TEST(SpatialGrid, SinglePoint) {
   const std::vector<Vec2> pts{{0.5, 0.5}};
   const SpatialGrid grid(pts, 0.1);
-  EXPECT_EQ(grid.nearest({0, 0}), 0U);
   EXPECT_EQ(grid.within({0.5, 0.5}, 0.01), std::vector<std::uint32_t>{0});
-  EXPECT_EQ(grid.nearest({0.5, 0.5}, /*exclude=*/0), SpatialGrid::kNone);
+  EXPECT_TRUE(grid.within({0.5, 0.5}, 0.01, /*exclude=*/0).empty());
 }
 
 TEST(SpatialGrid, WithinMatchesBruteForce) {
@@ -59,6 +56,30 @@ TEST(SpatialGrid, WithinMatchesBruteForce) {
   }
 }
 
+// Tiny to mid-size sets, with cells far below, near and above the query
+// radii (r up to 0.7, so a 1.5 cell puts the whole set in one cell): the
+// grid must agree with the brute-force index on every disk query.
+class IndexEquivalence
+    : public ::testing::TestWithParam<std::tuple<std::size_t, double>> {};
+
+TEST_P(IndexEquivalence, WithinQueriesAgree) {
+  const auto [n, cell] = GetParam();
+  Rng rng(1000 + n);
+  const std::vector<Vec2> pts = random_points(n, rng);
+  const SpatialGrid grid(pts, cell);
+  for (int q = 0; q < 100; ++q) {
+    const Vec2 c{rng.uniform(-0.1, 1.1), rng.uniform(-0.1, 1.1)};
+    const double r = rng.uniform(0.02, 0.7);
+    ASSERT_EQ(grid.within(c, r), brute_within(pts, c, r, SpatialGrid::kNone))
+        << "n=" << n << " query " << q;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SizesAndCells, IndexEquivalence,
+    ::testing::Combine(::testing::Values(1UL, 2UL, 17UL, 100UL, 500UL),
+                       ::testing::Values(0.05, 0.2, 1.5)));
+
 TEST(SpatialGrid, WithinRespectsExclude) {
   Rng rng(102);
   const std::vector<Vec2> pts = random_points(100, rng);
@@ -66,44 +87,6 @@ TEST(SpatialGrid, WithinRespectsExclude) {
   const auto got = grid.within(pts[17], 0.3, 17);
   EXPECT_EQ(std::count(got.begin(), got.end(), 17U), 0);
   EXPECT_EQ(got, brute_within(pts, pts[17], 0.3, 17));
-}
-
-TEST(SpatialGrid, NearestMatchesBruteForce) {
-  Rng rng(103);
-  const std::vector<Vec2> pts = random_points(250, rng);
-  const SpatialGrid grid(pts, 0.07);
-  for (int q = 0; q < 300; ++q) {
-    const Vec2 c{rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)};
-    std::uint32_t best = SpatialGrid::kNone;
-    double best_d = std::numeric_limits<double>::infinity();
-    for (std::uint32_t i = 0; i < pts.size(); ++i) {
-      const double d = dist_sq(pts[i], c);
-      if (d < best_d || (d == best_d && i < best)) {
-        best_d = d;
-        best = i;
-      }
-    }
-    ASSERT_EQ(grid.nearest(c), best) << "query " << q;
-  }
-}
-
-TEST(SpatialGrid, NearestWithExcludeMatchesBruteForce) {
-  Rng rng(104);
-  const std::vector<Vec2> pts = random_points(150, rng);
-  const SpatialGrid grid(pts, 0.25);
-  for (std::uint32_t e = 0; e < 50; ++e) {
-    std::uint32_t best = SpatialGrid::kNone;
-    double best_d = std::numeric_limits<double>::infinity();
-    for (std::uint32_t i = 0; i < pts.size(); ++i) {
-      if (i == e) continue;
-      const double d = dist_sq(pts[i], pts[e]);
-      if (d < best_d || (d == best_d && i < best)) {
-        best_d = d;
-        best = i;
-      }
-    }
-    ASSERT_EQ(grid.nearest(pts[e], e), best);
-  }
 }
 
 TEST(SpatialGrid, ForEachWithinVisitsSameSetAsWithin) {
@@ -121,8 +104,6 @@ TEST(SpatialGrid, CoincidentPointsAllReturned) {
   const std::vector<Vec2> pts{{0.5, 0.5}, {0.5, 0.5}, {0.5, 0.5}};
   const SpatialGrid grid(pts, 0.1);
   EXPECT_EQ(grid.within({0.5, 0.5}, 0.001).size(), 3U);
-  // Nearest tie broken towards the smallest id.
-  EXPECT_EQ(grid.nearest({0.5, 0.5}, 0), 1U);
 }
 
 TEST(SpatialGrid, QueryRadiusLargerThanDomain) {
@@ -130,26 +111,6 @@ TEST(SpatialGrid, QueryRadiusLargerThanDomain) {
   const std::vector<Vec2> pts = random_points(64, rng);
   const SpatialGrid grid(pts, 0.05);
   EXPECT_EQ(grid.within({0.5, 0.5}, 10.0).size(), 64U);
-}
-
-TEST(SpatialGrid, TemplateAndFunctionOverloadsAgree) {
-  Rng rng(107);
-  const std::vector<Vec2> pts = random_points(150, rng);
-  const SpatialGrid grid(pts, 0.12);
-  for (int q = 0; q < 50; ++q) {
-    const Vec2 c{rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)};
-    const double r = rng.uniform(0.02, 0.4);
-    std::vector<std::uint32_t> from_template;
-    grid.for_each_within(c, r, [&](std::uint32_t id) {
-      from_template.push_back(id);  // lambda argument -> template fast path
-    });
-    std::vector<std::uint32_t> from_function;
-    const std::function<void(std::uint32_t)> fn = [&](std::uint32_t id) {
-      from_function.push_back(id);
-    };
-    grid.for_each_within(c, r, fn);  // std::function lvalue -> ABI wrapper
-    ASSERT_EQ(from_template, from_function) << "query " << q;
-  }
 }
 
 TEST(SpatialGrid, ForEachWithinTwoMatchesUnionOfDisks) {

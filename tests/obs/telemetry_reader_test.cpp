@@ -93,20 +93,19 @@ TEST(TelemetryReader, RoundTripsTheSinkOutput) {
   EXPECT_EQ(parsed->spans[0].children[0].name, "theta.phase1");
 }
 
-TEST(TelemetryReader, AcceptsSchemaV1WithoutSeries) {
-  const std::string doc = R"({
+TEST(TelemetryReader, RejectsSchemaV1) {
+  // A well-formed document of the retired first generation (no series).
+  std::string doc = R"({
   "counters": {"a": 1},
   "distributions": {},
-  "schema": "thetanet-telemetry/1",
+  "schema": "thetanet-telemetry/2",
   "spans": []
 }
 )";
+  doc.replace(doc.find("telemetry/2"), 11, "telemetry/1");
   std::string err;
-  const auto parsed = parse_telemetry_json(doc, &err);
-  ASSERT_TRUE(parsed.has_value()) << err;
-  EXPECT_EQ(parsed->schema, "thetanet-telemetry/1");
-  EXPECT_TRUE(parsed->series.empty());
-  EXPECT_EQ(parsed->counters.at("a"), 1U);
+  EXPECT_FALSE(parse_telemetry_json(doc, &err).has_value());
+  EXPECT_NE(err.find("unsupported schema"), std::string::npos) << err;
 }
 
 TEST(TelemetryReader, EscapedNamesRoundTrip) {
@@ -126,10 +125,11 @@ TEST(TelemetryReader, RejectsMalformedDocuments) {
       "{not json",                // bare token
       "[1, 2, 3]",                // root must be an object
       "{\"schema\": \"x\"}",      // unknown schema
-      R"({"counters": [], "distributions": {}, "schema": "thetanet-telemetry/1", "spans": []})",  // counters not an object
+      R"({"counters": [], "distributions": {}, "schema": "thetanet-telemetry/2", "series": {}, "spans": []})",  // counters not an object
+      R"({"counters": {}, "distributions": {}, "schema": "thetanet-telemetry/2", "spans": []})",  // no series
       R"({"counters": {}, "distributions": {}, "schema": "thetanet-telemetry/2", "series": {"s": {"agg": "sum", "kind": "u64"}}, "spans": []})",  // series without points
-      R"({"counters": {}, "distributions": {}, "schema": "thetanet-telemetry/1", "spans": []} trailing)",
-      R"({"counters": {"a": "nope"}, "distributions": {}, "schema": "thetanet-telemetry/1", "spans": []})",
+      R"({"counters": {}, "distributions": {}, "schema": "thetanet-telemetry/2", "series": {}, "spans": []} trailing)",
+      R"({"counters": {"a": "nope"}, "distributions": {}, "schema": "thetanet-telemetry/2", "series": {}, "spans": []})",
   };
   for (const char* doc : bad) {
     std::string err;
@@ -140,7 +140,7 @@ TEST(TelemetryReader, RejectsMalformedDocuments) {
 }
 
 TEST(TelemetryReader, RejectsRunawayNesting) {
-  std::string doc = R"({"counters": {}, "distributions": {}, "schema": "thetanet-telemetry/1", "spans": )";
+  std::string doc = R"({"counters": {}, "distributions": {}, "schema": "thetanet-telemetry/2", "series": {}, "spans": )";
   doc += std::string(256, '[');
   doc += std::string(256, ']');
   doc += "}";

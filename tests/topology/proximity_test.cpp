@@ -110,6 +110,88 @@ TEST(Proximity, KnnGraphDegreeAndSymmetry) {
   for (const graph::Edge& e : g.edges()) EXPECT_LE(e.length, d.max_range);
 }
 
+/// Brute-force k-NN oracle: every in-range v != u ordered by (squared
+/// distance, id), the first k kept, the directed choices unioned.
+std::set<std::pair<graph::NodeId, graph::NodeId>> brute_knn(const Deployment& d,
+                                                           std::size_t k) {
+  std::set<std::pair<graph::NodeId, graph::NodeId>> s;
+  for (graph::NodeId u = 0; u < d.size(); ++u) {
+    std::vector<std::pair<double, graph::NodeId>> near;
+    for (graph::NodeId v = 0; v < d.size(); ++v)
+      if (v != u && d.distance(u, v) <= d.max_range)
+        near.emplace_back(geom::dist_sq(d.positions[u], d.positions[v]), v);
+    std::sort(near.begin(), near.end());
+    for (std::size_t i = 0; i < std::min(k, near.size()); ++i)
+      s.insert(std::minmax(u, near[i].second));
+  }
+  return s;
+}
+
+void expect_knn_matches_oracle(const Deployment& d, std::size_t k,
+                               const char* what) {
+  const graph::Graph g = knn_graph(d, k);
+  ASSERT_EQ(g.num_nodes(), d.size()) << what;
+  EXPECT_EQ(edge_set(g), brute_knn(d, k)) << what << " k=" << k;
+}
+
+TEST(Proximity, KnnGraphMatchesBruteForce) {
+  geom::Rng rng(48);
+  for (const std::size_t n : {0UL, 1UL, 2UL, 40UL, 200UL}) {
+    const Deployment d = random_deployment(n, 0.2, rng);
+    for (const std::size_t k : {0UL, 1UL, 3UL, 8UL})
+      expect_knn_matches_oracle(d, k, "uniform");
+  }
+
+  // Coincident points: distance 0, so ids alone order them.
+  Deployment coincident;
+  coincident.positions = {{0.5, 0.5}, {0.5, 0.5}, {0.2, 0.2}, {0.5, 0.5},
+                          {0.5, 0.5}, {0.55, 0.5}, {0.2, 0.2}};
+  coincident.max_range = 0.1;
+  for (const std::size_t k : {1UL, 2UL, 3UL, 4UL})
+    expect_knn_matches_oracle(coincident, k, "coincident");
+
+  // Equal-distance ties: four exact unit neighbours (and two at sqrt(2))
+  // around node 0; the smaller ids win.
+  Deployment ties;
+  ties.positions = {{0, 0}, {0, -1}, {1, 1}, {1, 0}, {-1, 0}, {0, 1}, {-1, -1}};
+  ties.max_range = 2.0;
+  for (const std::size_t k : {1UL, 2UL, 3UL, 5UL})
+    expect_knn_matches_oracle(ties, k, "ties");
+
+  // A neighbour exactly at max_range is in range: |(3, 4)| == 5 exactly.
+  Deployment at_range;
+  at_range.positions = {{0, 0}, {3, 4}, {10, 0}};
+  at_range.max_range = 5.0;
+  expect_knn_matches_oracle(at_range, 1, "exact range");
+  EXPECT_TRUE(knn_graph(at_range, 1).has_edge(0, 1));
+  // The same with max_range set to a pair's rounded distance, for which
+  // dist_sq can exceed max_range * max_range by an ulp.
+  Deployment rounded = random_deployment(60, 0.2, rng);
+  for (graph::NodeId v = 1; v < 30; ++v) {
+    rounded.max_range = rounded.distance(0, v);
+    expect_knn_matches_oracle(rounded, 60, "pair distance as range");
+    EXPECT_TRUE(knn_graph(rounded, 60).has_edge(0, v)) << v;
+  }
+
+  // Exponential chain: spacing doubles along the line, so a short range
+  // forces the grid to widen its cells over a 2^29-wide box.
+  Deployment chain;
+  for (int i = 0; i < 30; ++i) chain.positions.push_back({std::ldexp(1.0, i), 0});
+  for (const double range : {4.0, 1024.0, std::ldexp(1.0, 30)}) {
+    chain.max_range = range;
+    for (const std::size_t k : {1UL, 2UL, 5UL})
+      expect_knn_matches_oracle(chain, k, "chain");
+  }
+
+  // k >= n: every in-range pair.
+  const Deployment small = random_deployment(25, 0.4, rng);
+  for (const std::size_t k : {24UL, 25UL, 100UL}) {
+    expect_knn_matches_oracle(small, k, "k >= n");
+    EXPECT_EQ(edge_set(knn_graph(small, k)),
+              edge_set(build_transmission_graph(small)));
+  }
+}
+
 TEST(Proximity, KnnGraphCanBeDisconnected) {
   // Two distant tight clusters: 2-NN edges never cross the gap even though
   // G* (with a big range) would connect them — the intro's observation that
