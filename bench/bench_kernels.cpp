@@ -40,6 +40,7 @@
 #include <unistd.h>
 #endif
 #include <numbers>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -165,6 +166,47 @@ void BM_BalancingStep(benchmark::State& state) {
                           static_cast<std::int64_t>(g.num_edges()));
 }
 BENCHMARK(BM_BalancingStep);
+
+// The sustained-load planner alone (plan_all_edges_into, no execute, so
+// every iteration plans the same state): the candidate-set cost at idle (one
+// buffered packet) and under load (every node but the sink buffering four
+// packets for it, as in pipebench's route-loaded). Loaded nodes join the
+// active list in a shuffled order, as they do once packets have moved.
+void BM_PlanAllEdges(benchmark::State& state) {
+  const auto d = deployment(static_cast<std::size_t>(state.range(0)));
+  const core::ThetaTopology tt(d, kTheta);
+  const graph::Graph& g = tt.graph();
+  const auto n = static_cast<graph::NodeId>(g.num_nodes());
+  core::BalancingRouter router(n, {0.5, 0.0, 64});
+  route::RunMetrics m;
+  geom::Rng rng(3);
+  const auto inject = [&](graph::NodeId s, graph::NodeId t) {
+    router.inject(route::Packet{m.injected_offered, s, t, 0, 0.0, 0}, m);
+  };
+  if (state.range(1) == 0) {
+    inject(0, n - 1);
+  } else {
+    std::vector<graph::NodeId> order(n - 1);
+    std::iota(order.begin(), order.end(), graph::NodeId{1});
+    std::shuffle(order.begin(), order.end(), rng);
+    for (const graph::NodeId v : order)
+      for (int k = 0; k < 4; ++k) inject(v, 0);
+  }
+  std::vector<double> costs(g.num_edges());
+  for (graph::EdgeId e = 0; e < costs.size(); ++e) costs[e] = g.edge(e).cost;
+  std::vector<core::PlannedTx> txs;
+  for (auto _ : state) {
+    router.plan_all_edges_into(g, costs, txs);
+    benchmark::DoNotOptimize(txs.data());
+  }
+  state.counters["planned_tx"] = static_cast<double>(txs.size());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PlanAllEdges)
+    ->ArgNames({"n", "loaded"})
+    ->Args({256, 0})
+    ->Args({256, 1})
+    ->Args({10000, 0});
 
 void BM_GabrielGraph(benchmark::State& state) {
   const auto d = deployment(static_cast<std::size_t>(state.range(0)));

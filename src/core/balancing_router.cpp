@@ -1,6 +1,8 @@
 #include "core/balancing_router.h"
 
 #include <algorithm>
+#include <bit>
+#include <utility>
 
 #include "common/assert.h"
 #include "obs/metrics.h"
@@ -127,29 +129,27 @@ std::vector<PlannedTx> BalancingRouter::plan(
 
 std::span<const graph::EdgeId> BalancingRouter::candidate_edges(
     const graph::Graph& topo) const {
-  if (edge_mark_.size() < topo.num_edges()) {
-    edge_mark_.assign(topo.num_edges(), 0);
-    mark_epoch_ = 0;
-  }
-  if (mark_epoch_ == 0xffffffffu) {  // epoch wrap: reset the stamps
-    std::fill(edge_mark_.begin(), edge_mark_.end(), 0);
-    mark_epoch_ = 0;
-  }
-  const std::uint32_t epoch = ++mark_epoch_;
-  candidates_.clear();
-  // Serial walk (neighbors() may lazily rebuild adjacency): collect every
-  // edge with at least one buffering endpoint, each exactly once.
+  const std::size_t words = (topo.num_edges() + 63) / 64;
+  if (edge_bits_.size() < words) edge_bits_.resize(words, 0);
+  // Serial walk (neighbors() may lazily rebuild adjacency): set the bit of
+  // every edge with a buffering endpoint; [lo, hi) spans the words touched.
+  std::size_t lo = words, hi = 0;
   buffers_.for_each_active_node([&](graph::NodeId v) {
     for (const graph::Half& h : topo.neighbors(v)) {
-      if (edge_mark_[h.edge] != epoch) {
-        edge_mark_[h.edge] = epoch;
-        candidates_.push_back(h.edge);
-      }
+      const std::size_t w = h.edge >> 6;
+      edge_bits_[w] |= std::uint64_t{1} << (h.edge & 63);
+      lo = std::min(lo, w);
+      hi = std::max(hi, w + 1);
     }
   });
-  // Active-node order is arbitrary; sorting restores the canonical
-  // ascending-edge-id plan order, the one a scan of every edge would use.
-  std::sort(candidates_.begin(), candidates_.end());
+  // Reading the words in order yields each edge once, ascending by id (the
+  // order a scan of every edge plans in), with no sort; reading zeroes them.
+  candidates_.clear();
+  for (std::size_t w = lo; w < hi; ++w)
+    for (std::uint64_t bits = std::exchange(edge_bits_[w], 0); bits != 0;
+         bits &= bits - 1)
+      candidates_.push_back(static_cast<graph::EdgeId>(
+          (w << 6) | static_cast<unsigned>(std::countr_zero(bits))));
   return candidates_;
 }
 

@@ -21,7 +21,8 @@
 // plan is the same for any TN_NUM_THREADS), `execute` stages in-air packets
 // in a member scratch vector, and the sparse entry point
 // `plan_all_edges_into` derives the candidate edge set from the buffer
-// bank's active nodes instead of scanning every edge of a large graph.
+// bank's active nodes, through an edge bitset read out word by word over the
+// span of words touched (ascending edge ids, deduplicated, no sort).
 
 #include <cstdint>
 #include <functional>
@@ -109,19 +110,14 @@ class BalancingRouter {
 
   /// Sustained-load fast path: plan over every edge of `topo` without
   /// touching the empty part of the graph. The candidate set — all edges
-  /// incident to a node that currently buffers packets, ascending by edge
-  /// id — provably plans the same transmissions as passing all edges, since
-  /// an edge with both endpoint banks empty never clears benefit > T >= 0.
+  /// incident to a node that currently buffers packets, read out of an edge
+  /// bitset in ascending edge id order — provably plans the same
+  /// transmissions as passing all edges, since an edge with both endpoint
+  /// banks empty never clears benefit > T >= 0.
   /// The router.active_edges telemetry series records the candidate count.
   void plan_all_edges_into(const graph::Graph& topo,
                            std::span<const double> costs,
                            std::vector<PlannedTx>& out) const;
-
-  /// The candidate edge set used by plan_all_edges_into (exposed for the
-  /// quantized router and tests): edges incident to buffer-active nodes,
-  /// deduplicated, sorted ascending. Valid until the next call.
-  std::span<const graph::EdgeId> candidate_edges(
-      const graph::Graph& topo) const;
 
   /// Benefit evaluation for one directed pair (used by the honeycomb MAC of
   /// Section 3.4, where contestants are sender-receiver pairs rather than
@@ -157,6 +153,11 @@ class BalancingRouter {
   std::optional<PlannedTx> eval_edge(const graph::Graph& topo, graph::EdgeId e,
                                      double cost) const;
 
+  // plan_all_edges_into's candidate set: edges incident to buffer-active
+  // nodes, deduplicated, ascending by edge id. Valid until the next call.
+  std::span<const graph::EdgeId> candidate_edges(
+      const graph::Graph& topo) const;
+
   bool is_destination(graph::NodeId v, route::DestId d) const {
     return is_dest_ ? is_dest_(v, d) : v == d;
   }
@@ -165,16 +166,15 @@ class BalancingRouter {
   route::BufferBank buffers_;
   DestinationPredicate is_dest_;
   std::uint64_t round_ = 0;
-  // Reusable scratch (candidate edges + epoch-stamped dedup marks, in-air
-  // staging). Mutable: plan is logically const; scratch reuse is what makes
-  // the steady-state loop allocation-free. Not thread-safe.
+  // Reusable scratch (candidate edges + the edge bitset, all-zero between
+  // calls; in-air staging). Mutable: plan is logically const; scratch reuse
+  // is what makes the steady-state loop allocation-free. Not thread-safe.
   struct InAir {
     route::Packet p;
     graph::NodeId to;
   };
   mutable std::vector<graph::EdgeId> candidates_;
-  mutable std::vector<std::uint32_t> edge_mark_;
-  mutable std::uint32_t mark_epoch_ = 0;
+  mutable std::vector<std::uint64_t> edge_bits_;
   std::vector<InAir> in_air_;
 };
 
