@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks for the computational kernels: ThetaALG
-// construction, transmission-graph build, interference sets, Dijkstra, the
-// balancing step, and the local message protocol. These are throughput
-// numbers for the library itself (not paper claims).
+// construction, transmission-graph build, interference sets and the MAC's
+// per-edge interference bounds, Dijkstra, the balancing step, and the local
+// message protocol. These are throughput numbers for the library itself
+// (not paper claims).
 //
 // Before the google-benchmark suite, main() runs a thread-count sweep
 // (TN_NUM_THREADS 1/2/4/max) of the parallelized construction kernels over
@@ -113,6 +114,15 @@ void BM_InterferenceSets(benchmark::State& state) {
     benchmark::DoNotOptimize(interf::interference_sets(tt.graph(), d, m));
 }
 BENCHMARK(BM_InterferenceSets)->Arg(256)->Arg(1024)->Arg(4096);
+
+void BM_InterferenceBounds(benchmark::State& state) {
+  const auto d = deployment(static_cast<std::size_t>(state.range(0)));
+  const core::ThetaTopology tt(d, kTheta);
+  const interf::InterferenceModel m{1.0};
+  for (auto _ : state)
+    benchmark::DoNotOptimize(interf::interference_bounds(tt.graph(), d, m));
+}
+BENCHMARK(BM_InterferenceBounds)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_Dijkstra(benchmark::State& state) {
   const auto d = deployment(static_cast<std::size_t>(state.range(0)));

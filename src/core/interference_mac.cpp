@@ -10,23 +10,19 @@ RandomizedMac::RandomizedMac(const graph::Graph& topo,
                              const topo::Deployment& d,
                              const interf::InterferenceModel& model)
     : topo_(&topo), deployment_(&d), model_(model) {
-  const auto sets = interf::interference_sets(topo, d, model);
-  std::vector<std::uint32_t> sizes(sets.size());
-  for (std::size_t e = 0; e < sets.size(); ++e)
-    sizes[e] = static_cast<std::uint32_t>(sets[e].size());
-  bounds_.resize(sets.size());
-  for (std::size_t e = 0; e < sets.size(); ++e) {
-    std::uint32_t b = std::max<std::uint32_t>(1, sizes[e]);
-    for (const graph::EdgeId ep : sets[e]) b = std::max(b, sizes[ep]);
-    bounds_[e] = b;
-    max_bound_ = std::max(max_bound_, b);
+  const std::vector<std::uint32_t> bounds =
+      interf::interference_bounds(topo, d, model);
+  prob_.resize(bounds.size());
+  for (std::size_t e = 0; e < bounds.size(); ++e) {
+    prob_[e] = 1.0 / (2.0 * static_cast<double>(bounds[e]));
+    max_bound_ = std::max(max_bound_, bounds[e]);
   }
 }
 
 std::vector<graph::EdgeId> RandomizedMac::activate(geom::Rng& rng) const {
   std::vector<graph::EdgeId> active;
-  for (graph::EdgeId e = 0; e < bounds_.size(); ++e)
-    if (rng.bernoulli(activation_prob(e))) active.push_back(e);
+  for (graph::EdgeId e = 0; e < prob_.size(); ++e)
+    if (rng.bernoulli(prob_[e])) active.push_back(e);
   return active;
 }
 

@@ -9,6 +9,12 @@
 // active edge then collides with other active edges with probability at
 // most 1/2. Active edges are handed to the (T, gamma)-balancing router;
 // the combination is the (T, gamma, I)-balancing algorithm of Theorem 3.3.
+//
+// The bounds come from interf::interference_bounds, two streaming walks
+// over the interference neighbourhoods (set sizes, then their max over
+// each edge's partners) that keep per-edge counters only — the sets
+// themselves are never built. The constructor turns each I_e into its probability once, so a
+// step's activation is one Bernoulli draw per edge and no division.
 
 #include <span>
 #include <vector>
@@ -30,9 +36,7 @@ class RandomizedMac {
   std::uint32_t interference_bound() const { return max_bound_; }
 
   /// The per-edge activation probability 1/(2 * I_e).
-  double activation_prob(graph::EdgeId e) const {
-    return 1.0 / (2.0 * static_cast<double>(bounds_[e]));
-  }
+  double activation_prob(graph::EdgeId e) const { return prob_[e]; }
 
   /// Sample this step's active edge set.
   std::vector<graph::EdgeId> activate(geom::Rng& rng) const;
@@ -46,7 +50,7 @@ class RandomizedMac {
   const graph::Graph* topo_;
   const topo::Deployment* deployment_;
   interf::InterferenceModel model_;
-  std::vector<std::uint32_t> bounds_;  ///< I_e per edge (>= 1)
+  std::vector<double> prob_;  ///< 1/(2 * I_e) per edge, I_e >= 1
   std::uint32_t max_bound_ = 1;
 };
 

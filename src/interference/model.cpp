@@ -389,30 +389,22 @@ void sort_bucket(std::span<std::uint64_t> a, std::span<std::uint64_t> tmp,
   if (s != a.data()) std::copy(s, s + n, a.data());
 }
 
-}  // namespace
-
-std::vector<std::uint32_t> interference_set_sizes(const graph::Graph& g,
-                                                  const topo::Deployment& d,
-                                                  const InterferenceModel& m) {
-  // Count-only path: no pair list is materialized and nothing is globally
-  // sorted. Each chunk accumulates a uint32 counter array (both endpoints
-  // of every owned pair), and chunk partials merge elementwise in ascending
-  // chunk order — integer addition, so the result is bit-identical for any
-  // thread count and equals the pair-list degree exactly.
-  const std::size_t ne = g.num_edges();
-  if (ne == 0) return {};
-  TN_OBS_SPAN("interference.set_sizes");
-  const geom::SpatialOrder ord(d.positions);
-  const KernelContext kc(g, d, m, ord);
-  const geom::SpatialGrid grid(ord.points(), guard_query_cell(g, m));
-  // Auto grain (~8 chunks per thread): every chunk holds a full E-sized
-  // counter array until the fold, so the chunk count — not the chunk size —
-  // bounds the transient memory. Tallies accumulate by edge RANK — the
-  // partner rank rides along on every emission, so both increments stay in
-  // the cache-resident rank window — and one permute at the end moves the
-  // finished array to original-id order.
-  std::vector<std::uint32_t> by_rank = tn::parallel_reduce(
-      ne, 0, std::vector<std::uint32_t>{},
+/// |I(e)| for every edge, indexed by edge RANK: the count-only walk. No
+/// pair list is materialized and nothing is globally sorted. Each chunk
+/// accumulates a uint32 counter array (both endpoints of every owned pair),
+/// and chunk partials merge elementwise in ascending chunk order — integer
+/// addition, so the result is bit-identical for any thread count and
+/// `grain`, and equals the pair-list degree exactly. Every chunk holds a
+/// full E-sized counter array until the fold, so the chunk count — not the
+/// chunk size — bounds the transient memory. Tallies accumulate by rank —
+/// the partner rank rides along on every emission, so both increments stay
+/// in the cache-resident rank window.
+std::vector<std::uint32_t> set_sizes_by_rank(const KernelContext& kc,
+                                             const geom::SpatialGrid& grid,
+                                             std::size_t grain) {
+  const std::size_t ne = kc.order.size();
+  return tn::parallel_reduce(
+      ne, grain, std::vector<std::uint32_t>{},
       [&](std::size_t begin, std::size_t end) {
         std::vector<std::uint32_t> counts(ne, 0);
         DiscoveryScratch& s = DiscoveryScratch::local();
@@ -443,8 +435,78 @@ std::vector<std::uint32_t> interference_set_sizes(const graph::Graph& g,
         for (std::size_t k = 0; k < acc.size(); ++k) acc[k] += part[k];
         return acc;
       });
+}
+
+}  // namespace
+
+std::vector<std::uint32_t> interference_set_sizes(const graph::Graph& g,
+                                                  const topo::Deployment& d,
+                                                  const InterferenceModel& m) {
+  const std::size_t ne = g.num_edges();
+  if (ne == 0) return {};
+  TN_OBS_SPAN("interference.set_sizes");
+  const geom::SpatialOrder ord(d.positions);
+  const KernelContext kc(g, d, m, ord);
+  const geom::SpatialGrid grid(ord.points(), guard_query_cell(g, m));
+  // Auto grain (~8 chunks per thread); one permute moves the finished
+  // tally to original-id order.
+  const std::vector<std::uint32_t> by_rank = set_sizes_by_rank(kc, grid, 0);
   std::vector<std::uint32_t> out(ne);
   for (std::size_t k = 0; k < ne; ++k) out[kc.order[k]] = by_rank[k];
+  return out;
+}
+
+std::vector<std::uint32_t> interference_bounds(const graph::Graph& g,
+                                               const topo::Deployment& d,
+                                               const InterferenceModel& m) {
+  const std::size_t ne = g.num_edges();
+  if (ne == 0) return {};
+  TN_OBS_SPAN("interference.bounds");
+  const geom::SpatialOrder ord(d.positions);
+  const KernelContext kc(g, d, m, ord);
+  const geom::SpatialGrid grid(ord.points(), guard_query_cell(g, m));
+  // interference_sets' fixed grain: a small network runs as one inline
+  // chunk, and a large one holds ~E/16384 E-sized partials per pass.
+  constexpr std::size_t kGrain = 16384;
+  // Pass 1: |I(e)| by rank.
+  const std::vector<std::uint32_t> size = set_sizes_by_rank(kc, grid, kGrain);
+  // Pass 2: re-discover every source's candidates and spread the sizes
+  // across them. Every candidate j of source k has an endpoint inside
+  // IR(k), so j is in I(k) and k is in I(j) — no ownership test is needed —
+  // and every pair of I is discovered from at least one side. Each such
+  // discovery feeds both directions (size[k] into j's bound, size[j] into
+  // k's), and max is idempotent, so pairs found from both sides are
+  // harmless. Chunk partials merge by elementwise max, which is order-free:
+  // the result is bit-identical for any thread count.
+  const std::vector<std::uint32_t> by_rank = tn::parallel_reduce(
+      ne, kGrain, std::vector<std::uint32_t>{},
+      [&](std::size_t begin, std::size_t end) {
+        std::vector<std::uint32_t> bound(ne, 0);
+        DiscoveryScratch& s = DiscoveryScratch::local();
+        s.ensure(ne);
+        for (std::size_t k = begin; k < end; ++k) {
+          const std::uint32_t sk = size[k];
+          std::uint32_t mine = 0;
+          const std::size_t cnt =
+              discover_candidates(kc, grid, static_cast<std::uint32_t>(k), s);
+          for (std::size_t c = 0; c < cnt; ++c) {
+            const std::uint32_t j = s.kept[c].rank;
+            bound[j] = std::max(bound[j], sk);
+            mine = std::max(mine, size[j]);
+          }
+          bound[k] = std::max(bound[k], mine);
+        }
+        return bound;
+      },
+      [](std::vector<std::uint32_t> acc, std::vector<std::uint32_t> part) {
+        if (acc.empty()) return part;
+        for (std::size_t k = 0; k < acc.size(); ++k)
+          acc[k] = std::max(acc[k], part[k]);
+        return acc;
+      });
+  std::vector<std::uint32_t> out(ne);
+  for (std::size_t k = 0; k < ne; ++k)
+    out[kc.order[k]] = std::max({std::uint32_t{1}, size[k], by_rank[k]});
   return out;
 }
 

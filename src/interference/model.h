@@ -48,8 +48,21 @@ std::vector<std::uint32_t> interference_set_sizes(const graph::Graph& g,
                                                   const topo::Deployment& d,
                                                   const InterferenceModel& m);
 
-/// Full interference sets (edge ids), same algorithm. Heavier; used by the
-/// MAC layer which needs the actual sets.
+/// The per-edge bound of the randomized MAC (Section 3.3):
+///   I_e = max(1, max{ |I(e')| : e' in I(e) or e' = e }),
+/// equal to reducing interference_sets over interference_set_sizes, but
+/// without materializing any set: one count-only walk tallies the sizes,
+/// a second walk re-discovers each edge's candidates and spreads the sizes
+/// across them by max. Transient memory is one E-sized uint32 array per
+/// 16384-edge chunk and no pair storage; the result is bit-identical for
+/// any thread count.
+std::vector<std::uint32_t> interference_bounds(const graph::Graph& g,
+                                               const topo::Deployment& d,
+                                               const InterferenceModel& m);
+
+/// Full interference sets (edge ids, each set ascending), same discovery
+/// walk. Heavier — it sorts and scatters every interfering pair; for
+/// callers that need the actual sets (schedule_transform).
 std::vector<std::vector<graph::EdgeId>> interference_sets(
     const graph::Graph& g, const topo::Deployment& d,
     const InterferenceModel& m);

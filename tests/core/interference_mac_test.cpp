@@ -4,6 +4,7 @@
 
 #include <numbers>
 
+#include "../interference/bounds_reference.h"
 #include "core/theta_topology.h"
 #include "topology/distributions.h"
 
@@ -28,18 +29,18 @@ struct MacFixture {
 TEST(RandomizedMac, BoundsDominatePerEdgeSetSizes) {
   const MacFixture f(71);
   const RandomizedMac mac(f.topo, f.d, f.model);
-  const auto sets = interf::interference_sets(f.topo, f.d, f.model);
-  std::uint32_t max_size = 0;
+  // I_e = max(1, |I(e)|, max |I(e')| over e' in I(e)) exactly, reduced from
+  // the materialized sets; the MAC's activation probability is 1/(2 I_e).
+  const std::vector<std::uint32_t> expect = interf::testing::bounds_from_sets(
+      interf::interference_sets(f.topo, f.d, f.model));
+  std::uint32_t max_bound = 0;
   for (graph::EdgeId e = 0; e < f.topo.num_edges(); ++e) {
-    // I_e >= |I(e')| for every e' in I(e) (and >= |I(e)| itself via e in
-    // I(e')); in particular I_e >= |I(e)|.
-    const double p = mac.activation_prob(e);
-    EXPECT_GT(p, 0.0);
-    EXPECT_LE(p, 0.5);
-    EXPECT_LE(sets[e].size(), 1.0 / (2.0 * p) + 1e-9);
-    max_size = std::max(max_size, static_cast<std::uint32_t>(sets[e].size()));
+    ASSERT_EQ(mac.activation_prob(e),
+              1.0 / (2.0 * static_cast<double>(expect[e])))
+        << "edge " << e;
+    max_bound = std::max(max_bound, expect[e]);
   }
-  EXPECT_GE(mac.interference_bound(), max_size);
+  EXPECT_EQ(mac.interference_bound(), max_bound);
 }
 
 TEST(RandomizedMac, ActivationFrequencyMatchesProbability) {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "core/interference_mac.h"
 #include "core/theta_topology.h"
 #include "geom/rng.h"
 #include "geom/spatial_grid.h"
@@ -193,6 +194,38 @@ TEST_F(TelemetryPropertyTest, SpanChildTimeIsBoundedByParentTime) {
   ASSERT_EQ(build->children.size(), 2U);
   EXPECT_EQ(build->children[0].name, "theta.phase1");
   EXPECT_EQ(build->children[1].name, "theta.phase2");
+}
+
+std::uint64_t span_opens(const std::vector<obs::SpanSnapshot>& nodes,
+                         std::string_view name) {
+  std::uint64_t opens = 0;
+  for (const obs::SpanSnapshot& n : nodes)
+    opens += (n.name == name ? n.count : 0) + span_opens(n.children, name);
+  return opens;
+}
+
+TEST_F(TelemetryPropertyTest, MacConstructionStreamsBoundsWithoutSets) {
+  // RandomizedMac takes its bounds from interference_bounds: the pair count
+  // is the count-only walk's (the second walk re-discovers every pair and
+  // must not add to it), and no interference set is materialized.
+  geom::Rng rng(23);
+  topo::Deployment d;
+  d.positions = topo::uniform_square(300, 1.0, rng);
+  d.max_range = 0.16;
+  d.kappa = 2.0;
+  const core::ThetaTopology tt(d, std::numbers::pi / 9.0);
+  const interf::InterferenceModel model{0.5};
+  (void)interf::interference_set_sizes(tt.graph(), d, model);
+  const std::uint64_t pairs = counter("interference.pairs");
+  ASSERT_GT(pairs, 0U);
+
+  obs::MetricsRegistry::global().reset();
+  obs::reset_spans();
+  const core::RandomizedMac mac(tt.graph(), d, model);
+  EXPECT_EQ(counter("interference.pairs"), pairs);
+  const std::vector<obs::SpanSnapshot> roots = obs::span_snapshot();
+  EXPECT_EQ(span_opens(roots, "interference.bounds"), 1U);
+  EXPECT_EQ(span_opens(roots, "interference.sets"), 0U);
 }
 
 TEST_F(TelemetryPropertyTest, DeterministicJsonIsByteIdenticalAcrossThreads) {
