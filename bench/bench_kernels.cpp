@@ -28,6 +28,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -57,6 +58,7 @@
 #include "core/balancing_router.h"
 #include "core/local_protocol.h"
 #include "core/contention_protocol.h"
+#include "core/interference_mac.h"
 #include "core/theta_topology.h"
 #include "geom/hex_tiling.h"
 #include "routing/adversary.h"
@@ -123,6 +125,29 @@ void BM_InterferenceBounds(benchmark::State& state) {
     benchmark::DoNotOptimize(interf::interference_bounds(tt.graph(), d, m));
 }
 BENCHMARK(BM_InterferenceBounds)->Arg(256)->Arg(1024)->Arg(4096);
+
+// One RandomizedMac step at Delta = 0.25 (the E7/E8 and pipebench route-mac
+// setting). The sampler's cost follows classes + active, not edges: the
+// counters report the edge count, bit_width(I) (the bound on the number of
+// classes) and the mean active edges per call.
+void BM_MacActivate(benchmark::State& state) {
+  const auto d = deployment(static_cast<std::size_t>(state.range(0)));
+  const core::ThetaTopology tt(d, kTheta);
+  const core::RandomizedMac mac(tt.graph(), d, interf::InterferenceModel{0.25});
+  geom::Rng rng(11);
+  std::size_t active = 0;
+  for (auto _ : state) {
+    const std::vector<graph::EdgeId> woken = mac.activate(rng);
+    active += woken.size();
+    benchmark::DoNotOptimize(woken.data());
+  }
+  state.counters["edges"] = static_cast<double>(tt.graph().num_edges());
+  state.counters["bit_width_I"] =
+      static_cast<double>(std::bit_width(mac.interference_bound()));
+  state.counters["active"] = benchmark::Counter(
+      static_cast<double>(active), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_MacActivate)->Arg(256)->Arg(10000);
 
 void BM_Dijkstra(benchmark::State& state) {
   const auto d = deployment(static_cast<std::size_t>(state.range(0)));

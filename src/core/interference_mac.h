@@ -13,9 +13,12 @@
 // The bounds come from interf::interference_bounds, two streaming walks
 // over the interference neighbourhoods (set sizes, then their max over
 // each edge's partners) that keep per-edge counters only — the sets
-// themselves are never built. The constructor turns each I_e into its probability once, so a
-// step's activation is one Bernoulli draw per edge and no division.
+// themselves are never built. A step's activation does not flip one coin
+// per edge: detail::WakeSampler jumps from one woken candidate to the next
+// by geometric skips, so a step costs O(#classes + #active), where
+// #classes <= bit_width(I).
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -26,6 +29,41 @@
 #include "topology/deployment.h"
 
 namespace thetanet::core {
+
+namespace detail {
+
+/// Samples a subset of edges in which edge e is present independently with
+/// probability prob[e], without a coin per edge. The edges are grouped by
+/// the dyadic class of their probability, (2^(k-1), 2^k]; each class
+/// carries its largest probability q. A step walks each class's ascending
+/// edge list by geometric gaps floor(log1p(-u) / log1p(-q)), which visits
+/// every edge independently with probability q, and keeps a visited edge
+/// with probability prob[e] / q in (1/2, 1] (no draw when it is 1). Cost
+/// per step: one draw per class plus at most two per visited edge.
+class WakeSampler {
+ public:
+  WakeSampler() = default;
+  /// Every prob[e] must lie in (0, 1].
+  explicit WakeSampler(std::span<const double> prob);
+
+  /// The edges present this step, ascending.
+  std::vector<graph::EdgeId> sample(geom::Rng& rng) const;
+
+  std::size_t num_classes() const { return classes_.size(); }
+
+ private:
+  struct Class {
+    std::size_t begin, end;  ///< range of edges_ / accept_
+    double q;                ///< largest probability in the class
+    double inv_log1p_neg_q;  ///< 1 / log1p(-q); unused when q == 1
+    double none;             ///< (1 - q)^(end - begin): no edge is visited
+  };
+  std::vector<Class> classes_;
+  std::vector<graph::EdgeId> edges_;  ///< grouped by class, ascending in each
+  std::vector<double> accept_;        ///< prob[e] / q, parallel to edges_
+};
+
+}  // namespace detail
 
 class RandomizedMac {
  public:
@@ -52,6 +90,7 @@ class RandomizedMac {
   interf::InterferenceModel model_;
   std::vector<double> prob_;  ///< 1/(2 * I_e) per edge, I_e >= 1
   std::uint32_t max_bound_ = 1;
+  detail::WakeSampler wake_;
 };
 
 /// Ablation baseline: interference-oblivious slotted ALOHA. Every edge
@@ -64,17 +103,19 @@ class SlottedAlohaMac {
  public:
   SlottedAlohaMac(const graph::Graph& topo, const topo::Deployment& d,
                   const interf::InterferenceModel& model, double p)
-      : topo_(&topo), deployment_(&d), model_(model), p_(p) {
+      : topo_(&topo),
+        deployment_(&d),
+        model_(model),
+        p_(p),
+        wake_(std::vector<double>(topo.num_edges(), p)) {
     TN_ASSERT(p > 0.0 && p <= 1.0);
   }
 
   double activation_prob() const { return p_; }
 
+  /// One sampler class with q = p, so no edge needs a thinning draw.
   std::vector<graph::EdgeId> activate(geom::Rng& rng) const {
-    std::vector<graph::EdgeId> active;
-    for (graph::EdgeId e = 0; e < topo_->num_edges(); ++e)
-      if (rng.bernoulli(p_)) active.push_back(e);
-    return active;
+    return wake_.sample(rng);
   }
 
   std::vector<bool> resolve(std::span<const PlannedTx> txs) const {
@@ -89,6 +130,7 @@ class SlottedAlohaMac {
   const topo::Deployment* deployment_;
   interf::InterferenceModel model_;
   double p_;
+  detail::WakeSampler wake_;
 };
 
 }  // namespace thetanet::core

@@ -439,6 +439,11 @@ std::vector<std::uint32_t> set_sizes_by_rank(const KernelContext& kc,
 
 }  // namespace
 
+std::size_t detail::tally_grain(std::size_t num_edges) {
+  constexpr std::size_t kMinGrain = 16384, kMaxChunks = 64;
+  return std::max(kMinGrain, (num_edges + kMaxChunks - 1) / kMaxChunks);
+}
+
 std::vector<std::uint32_t> interference_set_sizes(const graph::Graph& g,
                                                   const topo::Deployment& d,
                                                   const InterferenceModel& m) {
@@ -465,11 +470,9 @@ std::vector<std::uint32_t> interference_bounds(const graph::Graph& g,
   const geom::SpatialOrder ord(d.positions);
   const KernelContext kc(g, d, m, ord);
   const geom::SpatialGrid grid(ord.points(), guard_query_cell(g, m));
-  // interference_sets' fixed grain: a small network runs as one inline
-  // chunk, and a large one holds ~E/16384 E-sized partials per pass.
-  constexpr std::size_t kGrain = 16384;
+  const std::size_t grain = detail::tally_grain(ne);
   // Pass 1: |I(e)| by rank.
-  const std::vector<std::uint32_t> size = set_sizes_by_rank(kc, grid, kGrain);
+  const std::vector<std::uint32_t> size = set_sizes_by_rank(kc, grid, grain);
   // Pass 2: re-discover every source's candidates and spread the sizes
   // across them. Every candidate j of source k has an endpoint inside
   // IR(k), so j is in I(k) and k is in I(j) — no ownership test is needed —
@@ -479,7 +482,7 @@ std::vector<std::uint32_t> interference_bounds(const graph::Graph& g,
   // harmless. Chunk partials merge by elementwise max, which is order-free:
   // the result is bit-identical for any thread count.
   const std::vector<std::uint32_t> by_rank = tn::parallel_reduce(
-      ne, kGrain, std::vector<std::uint32_t>{},
+      ne, grain, std::vector<std::uint32_t>{},
       [&](std::size_t begin, std::size_t end) {
         std::vector<std::uint32_t> bound(ne, 0);
         DiscoveryScratch& s = DiscoveryScratch::local();
@@ -554,12 +557,13 @@ std::vector<std::vector<graph::EdgeId>> interference_sets(
     std::vector<std::uint32_t> counts;  // set sizes, by rank
     std::vector<std::uint32_t> front;   // pairs where the edge is hi, by rank
   };
-  // Grain 16384 (fixed => chunk-count independent of the pool size): each
-  // chunk carries two E-sized tally arrays, so fewer chunks means less
-  // zero-fill and a shorter merge chain, at grain sizes still fine-grained
-  // enough to balance 16 threads on six-figure edge counts.
+  // detail::tally_grain (a function of E only => chunk count independent of
+  // the pool size): each chunk carries two E-sized tally arrays, so fewer
+  // chunks means less zero-fill and a shorter merge chain, at grain sizes
+  // still fine-grained enough to balance 16 threads on six-figure edge
+  // counts, and at most 64 chunks however large E grows.
   Discovered dis = tn::parallel_reduce(
-      ne, 16384, Discovered{},
+      ne, detail::tally_grain(ne), Discovered{},
       [&](std::size_t begin, std::size_t end) {
         Discovered one;
         one.parts.resize(1);

@@ -10,6 +10,7 @@
 // bounds this by O(log n) whp for uniform-random deployments; bench E4
 // measures it.
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -54,8 +55,8 @@ std::vector<std::uint32_t> interference_set_sizes(const graph::Graph& g,
 /// without materializing any set: one count-only walk tallies the sizes,
 /// a second walk re-discovers each edge's candidates and spreads the sizes
 /// across them by max. Transient memory is one E-sized uint32 array per
-/// 16384-edge chunk and no pair storage; the result is bit-identical for
-/// any thread count.
+/// chunk of detail::tally_grain(E) edges (at most 64 chunks) and no pair
+/// storage; the result is bit-identical for any thread count.
 std::vector<std::uint32_t> interference_bounds(const graph::Graph& g,
                                                const topo::Deployment& d,
                                                const InterferenceModel& m);
@@ -66,6 +67,18 @@ std::vector<std::uint32_t> interference_bounds(const graph::Graph& g,
 std::vector<std::vector<graph::EdgeId>> interference_sets(
     const graph::Graph& g, const topo::Deployment& d,
     const InterferenceModel& m);
+
+namespace detail {
+
+/// Chunk size of the walks that keep one E-sized tally per chunk until the
+/// fold (interference_bounds, interference_sets): max(16384, ceil(E / 64)).
+/// A small network runs as one inline chunk; a large one holds at most 64
+/// partials, 256 bytes per edge, instead of E / 16384 of them. The grain
+/// depends only on E, so the chunking — and every result — is the same for
+/// any thread count.
+std::size_t tally_grain(std::size_t num_edges);
+
+}  // namespace detail
 
 /// max_e |I(e)| — the interference number of the topology.
 std::uint32_t interference_number(const graph::Graph& g,

@@ -121,5 +121,21 @@ TEST(BoundsOracleEdgeCases, ManyChunksMatchSets) {
   expect_bounds_match_sets(g, d, 1.0);
 }
 
+TEST(BoundsOracleEdgeCases, TallyGrainCapsTheChunkCount) {
+  // Up to 64 * 16384 edges the grain is 16384 (build-1e5's 650 624 ΘALG
+  // edges: 40 chunks); above it the chunk count stays at 64, so the walks'
+  // per-chunk E-sized partials cost at most 256 bytes per edge.
+  EXPECT_EQ(detail::tally_grain(1), 16384u);
+  EXPECT_EQ(detail::tally_grain(650624), 16384u);
+  EXPECT_EQ(detail::tally_grain(64u * 16384u), 16384u);
+  EXPECT_EQ(detail::tally_grain(64u * 16384u + 1), 16385u);
+  for (const std::size_t ne :
+       {std::size_t{1} << 20, std::size_t{6500000}, std::size_t{100000007}}) {
+    const std::size_t g = detail::tally_grain(ne);
+    EXPECT_GE(g, 16384u);
+    EXPECT_LE((ne + g - 1) / g, 64u) << ne;
+  }
+}
+
 }  // namespace
 }  // namespace thetanet::interf
